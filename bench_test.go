@@ -518,7 +518,7 @@ func BenchmarkCPEFeatureOperator(b *testing.B) {
 // BenchmarkHopEnergiesUncached / BenchmarkHopEnergiesCached measure the
 // same recurring dilute-alloy workload against the direct NNP evaluator
 // and against the shared evaluation service (content-addressed cache +
-// fused batcher). Results accumulate into BENCH_evalserve.json — hit
+// batcher). Results accumulate into BENCH_evalserve.json — hit
 // rate, ns/op, and the batch-width occupancy sweep — so a bench run
 // leaves a machine-readable report next to the human one.
 
@@ -652,8 +652,9 @@ func BenchmarkEvalSpeculativeOccupancy(b *testing.B) {
 	recordEvalBench("spec_hit_rate", st.HitRate())
 }
 
-// BenchmarkEvalBatchWidth sweeps the fused batch width: the wide-matrix
-// amortisation the batcher buys when many engines miss concurrently.
+// BenchmarkEvalBatchWidth sweeps the backend batch width: the per-system
+// cost when many engines miss concurrently, which CI gates at width 64
+// against width 1.
 func BenchmarkEvalBatchWidth(b *testing.B) {
 	pot, tb, vets := evalBenchWorkload(64)
 	for _, width := range []int{1, 4, 16, 64} {

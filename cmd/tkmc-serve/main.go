@@ -4,7 +4,7 @@
 // evalserve.Dial (which implements kmc.Model) and submit canonical
 // vacancy environments; identical environments from different clients
 // are answered from the same cache entry, and concurrent misses are
-// coalesced into wide fused batches.
+// coalesced into batches.
 //
 // Usage:
 //
@@ -89,9 +89,9 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	cutoff := fs.Float64("cutoff", units.CutoffStandard, "interaction cutoff (Å)")
 	cache := fs.Int("cache", 0, "cache capacity in entries (0 = default)")
 	shards := fs.Int("shards", 0, "cache shard count (0 = default)")
-	batch := fs.Int("batch", 0, "max systems per fused batch (0 = default)")
+	batch := fs.Int("batch", 0, "max systems per evaluation batch (0 = default)")
 	workers := fs.Int("workers", 0, "evaluation worker pool size (0 = default)")
-	f32 := fs.Bool("f32", false, "run fused NNP batches in f32 (not bit-identical to f64)")
+	f32 := fs.Bool("f32", false, "run NNP batches through the f32 kernel (not bit-identical to f64)")
 	fleetN := fs.Int("fleet", 1, "independent serve nodes in this process (ports increment from -addr)")
 	idleSecs := fs.Float64("idle", 0, "idle session reap timeout in seconds (0 = default, negative = never)")
 	drainSecs := fs.Float64("drain", 5, "seconds to let in-flight sessions finish on SIGTERM before force-closing")
@@ -127,9 +127,6 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	if err != nil {
 		fmt.Fprintln(stderr, "tkmc-serve:", err)
 		return exitUsage
-	}
-	if fb, ok := be.(*evalserve.FusionBackend); ok {
-		fb.SetTelemetry(set)
 	}
 	// The readiness probe flips to 503 the moment a drain begins, while
 	// /healthz keeps reporting liveness — load balancers stop routing new
@@ -168,9 +165,6 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 			if nodeBE, err = buildBackend(*potName, tb, opts, *f32); err != nil {
 				fmt.Fprintln(stderr, "tkmc-serve:", err)
 				return exitUsage
-			}
-			if fb, ok := nodeBE.(*evalserve.FusionBackend); ok {
-				fb.SetTelemetry(set)
 			}
 		}
 		nodeAddr, err := fleetAddr(*addr, i)

@@ -348,9 +348,7 @@ func New(cfg Config) (*Simulation, error) {
 			if cfg.EvalF32 {
 				prec = evalserve.F32
 			}
-			fb := evalserve.NewFusionBackend(cfg.Net, s.Tables, prec)
-			fb.SetTelemetry(cfg.Telemetry)
-			be = fb
+			be = evalserve.NewFusionBackend(cfg.Net, s.Tables, prec)
 		} else {
 			// Non-NNP potentials — and any fleet run, where the remote
 			// nodes do the heavy lifting and the local cache just

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tensorkmc/internal/feature"
+	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/nnp"
 	"tensorkmc/internal/rng"
 	"tensorkmc/internal/units"
@@ -84,6 +85,38 @@ func TestEvalCacheBitIdenticalNNP(t *testing.T) {
 
 	if !bytes.Equal(plain, served) {
 		t.Fatal("fused NNP cached run diverged from the direct run")
+	}
+}
+
+// TestEvalCacheDivacancyNNP repeats the NNP contract on a box holding a
+// divacancy: two vacancies at first-neighbour distance, so each closes
+// one hop direction of the other's system. The settings are those of
+// hopbench/decks/cached-divacancy.deck (Cu 1.34 %, 573 K, 6.5 Å cutoff,
+// seed 1, 8e-8 s, a 32768-entry cache) on a test-sized box.
+func TestEvalCacheDivacancyNNP(t *testing.T) {
+	desc := feature.Standard(units.CutoffStandard)
+	pot := nnp.NewPotential(desc, []int{desc.Dim(), 32, 16, 1}, rng.New(1))
+	box := lattice.NewBox(10, 10, 10, units.LatticeConstantFe)
+	lattice.FillRandomAlloy(box, 0.0134, 0.002, rng.New(1))
+	vacs := lattice.Vacancies(box)
+	if len(vacs) == 0 {
+		t.Fatal("no vacancy to pair")
+	}
+	box.Set(box.Wrap(vacs[0].Add(lattice.NN1[2])), lattice.Vacancy)
+	base := Config{
+		InitialBox: box, Temperature: 573, Cutoff: 6.5,
+		Seed: 1, Potential: NNP, Net: pot,
+	}
+	const duration = 8e-8
+
+	plain := checkpointBytes(t, base, duration)
+
+	cached := base
+	cached.EvalCache = 32768
+	served := checkpointBytes(t, cached, duration)
+
+	if !bytes.Equal(plain, served) {
+		t.Fatal("cached NNP run on a divacancy diverged from the direct run")
 	}
 }
 

@@ -2,19 +2,14 @@ package evalserve
 
 import (
 	"fmt"
-	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"tensorkmc/internal/encoding"
-	"tensorkmc/internal/fault"
 	"tensorkmc/internal/feature"
-	"tensorkmc/internal/fusion"
 	"tensorkmc/internal/kmc"
-	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/nnp"
-	"tensorkmc/internal/sw"
-	"tensorkmc/internal/telemetry"
 )
 
 // Result is one vacancy system's complete hop-energy evaluation: the
@@ -45,8 +40,8 @@ type Backend interface {
 // ModelBackend adapts any kmc.Model factory (EAM, bond-count, NNP) into a
 // Backend: each EvaluateBatch borrows one model from a fixed pool and
 // evaluates the systems sequentially. It brings the cache and the service
-// front-end to non-NNP potentials; the wide-matrix win needs the
-// FusionBackend.
+// front-end to non-NNP potentials; NNP services use the FusionBackend,
+// which spreads a batch over workers.
 type ModelBackend struct {
 	tb   *encoding.Tables
 	pool chan kmc.Model
@@ -83,401 +78,120 @@ func (mb *ModelBackend) EvaluateBatch(vets []encoding.VET) []Result {
 	return out
 }
 
-// --- Fusion-batched NNP backend ----------------------------------------
+// --- NNP backend ---------------------------------------------------------
 
-// Precision selects the arithmetic of the fused evaluation.
+// Precision selects the arithmetic of the NNP backend's inference kernel.
 type Precision int
 
 const (
-	// F64 runs the big-fusion operator in double precision — per-row
-	// bit-identical to nnp.Potential.HopEnergies (the matmul is
-	// row-independent), which is what the trajectory contract requires.
+	// F64 runs nnp.Potential.HopEnergies as the engine does, so results
+	// are bit-identical to direct evaluation — what the trajectory
+	// contract requires.
 	F64 Precision = iota
-	// F32 runs fusion.RunBigFusionF32, the arithmetic of the real
-	// SW26010-pro. Faster and still deterministic, but NOT bit-identical
-	// to the f64 engine path: only opt in when a cached run is never
-	// compared against an uncached one.
+	// F32 runs the same function with the float32 tile kernel
+	// (nnp.Potential.NewScratch32), the arithmetic of the real
+	// SW26010-pro. Deterministic, but NOT bit-identical to the f64
+	// engine path: only opt in when a cached run is never compared
+	// against an uncached one.
 	F32
 )
 
-// FusionStats counts the accelerator-side work of a FusionBackend.
-type FusionStats struct {
-	// Batches and Systems count EvaluateBatch calls and the systems they
-	// carried; Rows counts feature rows pushed through the big-fusion
-	// operator (the batch width the accelerator actually sees).
-	Batches int64
-	Systems int64
-	Rows    int64
-	// ModeledSeconds accumulates the simulated-Sunway time of every
-	// fused kernel launch.
-	ModeledSeconds float64
-}
-
-// FusionBackend evaluates NNP vacancy systems by coalescing every region
-// site of every state of every system in the batch into per-element
-// feature matrices and running each through the wide-GEMM big-fusion
-// operator (fusion.RunBigFusionWide) — the SMC-AI pattern of turning
-// many small Monte Carlo energy requests into a few wide accelerator
-// matrix calls, blocked into cache-resident row tiles and spread over a
-// goroutine pool. Row independence of the fused matmul makes the
-// per-site energies, and therefore the summed region energies,
-// bit-identical to the one-system-at-a-time path for any worker count.
+// FusionBackend evaluates NNP vacancy systems through
+// nnp.Potential.HopEnergies — the exact function the engine runs — with
+// the systems of a batch spread over a goroutine pool, each worker owning
+// a private nnp.Scratch. Systems are independent, so the results do not
+// depend on the worker count or the schedule. The batch width buys
+// parallelism, not a wider GEMM: the inference kernel costs the same per
+// system at any width.
 //
 // Concurrency: EvaluateBatch is safe for concurrent callers (the server
-// runs a bounded worker pool); each call builds private working state
-// and only the stats are shared, under fb.mu. SetTelemetry and
+// runs a bounded worker pool); each call builds private working state.
 // SetWorkers must be called before the backend is shared.
 type FusionBackend struct {
 	pot     *nnp.Potential
 	tb      *encoding.Tables
 	tab     *feature.Table
-	arch    sw.Arch
-	prec    Precision
-	workers int // GEMM/feature worker count; 0 = GOMAXPROCS
-
-	mu    sync.Mutex
-	stats FusionStats
-
-	// scratch pools the per-call fused feature matrices. Every row of a
-	// borrowed buffer is fully overwritten by pass 2 before it is read,
-	// so reuse is invisible to results — it only removes the page-fault
-	// cost of faulting in tens of megabytes of fresh matrix per batch.
-	scratch sync.Pool
-
-	featurePh, fusionPh *telemetry.Phase // nil when telemetry is off
+	q       *nnp.Potential32 // quantised heads, F32 only
+	workers int              // per-batch worker count; 0 = GOMAXPROCS
 }
 
-// fbScratch is one EvaluateBatch call's reusable feature-matrix backing
-// store (one buffer per element head).
-type fbScratch struct {
-	bufs [lattice.NumElements][]float64
-}
-
-// NewFusionBackend binds a trained potential to tables and an (emulated)
-// accelerator architecture. The batched evaluation parallelises across
-// fusion.WideWorkers(0) goroutines by default; tune with SetWorkers.
+// NewFusionBackend binds a trained potential to tables in the given
+// precision. A batch spreads over GOMAXPROCS goroutines by default; tune
+// with SetWorkers.
 func NewFusionBackend(pot *nnp.Potential, tb *encoding.Tables, prec Precision) *FusionBackend {
-	return &FusionBackend{
-		pot:  pot,
-		tb:   tb,
-		tab:  feature.NewTable(pot.Desc, tb.Distances),
-		arch: sw.SW26010Pro(),
-		prec: prec,
+	fb := &FusionBackend{pot: pot, tb: tb, tab: feature.NewTable(pot.Desc, tb.Distances)}
+	if prec == F32 {
+		fb.q = pot.Quantize()
 	}
+	return fb
 }
 
-// SetWorkers fixes the goroutine count used for feature assembly and the
-// wide GEMM (non-positive restores the GOMAXPROCS default). Worker count
-// never changes results — only wall time. Call before the backend is
-// shared across server workers.
+// SetWorkers fixes the goroutine count a batch spreads over
+// (non-positive restores the GOMAXPROCS default). Worker count never
+// changes results — only wall time. Call before the backend is shared
+// across server workers.
 func (fb *FusionBackend) SetWorkers(n int) { fb.workers = n }
 
 // Tables returns the encoding tables.
 func (fb *FusionBackend) Tables() *encoding.Tables { return fb.tb }
 
-// SetTelemetry times the two halves of every fused evaluation under
-// evalserve/batch — row counting (pass 1) under PhaseFeature, and the
-// fused assemble-and-evaluate pipeline under PhaseFusion — so the run
-// summary shows where accelerator batches spend their wall time. Call
-// before the backend is shared across workers.
-func (fb *FusionBackend) SetTelemetry(set *telemetry.Set) {
-	if set == nil {
-		return
-	}
-	batch := set.Trace().PhaseAt(telemetry.PhaseEvalServe, telemetry.PhaseBatch)
-	fb.featurePh = batch.Child(telemetry.PhaseFeature)
-	fb.fusionPh = batch.Child(telemetry.PhaseFusion)
-}
-
-// Stats snapshots the accelerator counters.
-func (fb *FusionBackend) Stats() FusionStats {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	return fb.stats
-}
-
-// span locates one (system, state, element) group's rows in the fused
-// per-element matrix: rows [start, start+count).
-type span struct {
-	start, count int
-}
-
-// EvaluateBatch runs the fused 1+8 evaluation for every system at once.
+// EvaluateBatch runs the 1+8 evaluation of every system.
 func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
-	tb, pot := fb.tb, fb.pot
-	dim := pot.Desc.Dim()
-	nSys := len(vets)
-	out := make([]Result, nSys)
-
-	// Work on private copies: ApplyHop mutates the VET in place, and the
-	// caller's buffers may be shared with a blocked engine goroutine.
-	work := make([]encoding.VET, nSys)
-	for s, vet := range vets {
-		if len(vet) != tb.NAll {
-			panic(fmt.Sprintf("evalserve: VET length %d, want %d", len(vet), tb.NAll))
+	for _, vet := range vets {
+		if len(vet) != fb.tb.NAll {
+			panic(fmt.Sprintf("evalserve: VET length %d, want %d", len(vet), fb.tb.NAll))
 		}
-		work[s] = append(encoding.VET(nil), vet...)
 	}
-
-	featSW := fb.featurePh.Start()
-	// Pass 1 — count rows per element so the fused matrices can be
-	// allocated exactly. State 0 is the initial state; state k+1 is hop k.
-	rowsPerElem := make([]int, lattice.NumElements)
-	spans := make([][9][lattice.NumElements]span, nSys)
-	forEachState(tb, work, func(s, state int, vet encoding.VET) {
-		for e := 0; e < lattice.NumElements; e++ {
-			n := 0
-			for i := 0; i < tb.NRegion; i++ {
-				if vet[i] == lattice.Species(e) {
-					n++
-				}
-			}
-			spans[s][state][e] = span{start: rowsPerElem[e], count: n}
-			rowsPerElem[e] += n
-		}
-	})
-	featSW.Stop()
-
-	// Pass 2 — compute, normalise and evaluate every feature row. Systems
-	// are independent (each owns the disjoint row ranges pass 1 assigned
-	// it), so they are spread over the worker pool; the per-row arithmetic
-	// — ComputeSite into the row, then the in-place channel normalisation
-	// — is exactly NormalizeInto's, minus the copy.
-	workers := fusion.WideWorkers(fb.workers)
-	fusionSW := fb.fusionPh.Start()
-	outs := make([]nnp.Matrix, lattice.NumElements)
-	var modeled float64
-	var totalRows int64
-	if fb.prec == F64 {
-		// Streaming pipeline: each worker stages up to WideRowBlock rows
-		// per element and forwards the tile through the wide run while it
-		// is still cache-hot, so the fused input matrix — tens of
-		// megabytes at production widths — never round-trips through DRAM
-		// between feature assembly and the GEMM. Within a system, an
-		// element's rows are globally contiguous across states (pass 1
-		// numbers them system-major), so a stage only ever holds one
-		// contiguous output range; stages flush at tile and system
-		// boundaries.
-		var runs [lattice.NumElements]*fusion.WideRun
-		for e := 0; e < lattice.NumElements; e++ {
-			if rowsPerElem[e] > 0 {
-				runs[e] = fusion.BeginBigFusionWide(pot.Nets[e], rowsPerElem[e], fb.arch)
-			}
-		}
-		forEachSystem(nSys, workers, func() func(s int) {
-			scratch := &nnp.BlockScratch{}
-			type stage struct {
-				x  nnp.Matrix
-				n  int // staged rows
-				g0 int // global output row of staged row 0
-			}
-			var stages [lattice.NumElements]stage
-			for e := range stages {
-				stages[e].x = nnp.NewMatrix(fusion.WideRowBlock, dim)
-			}
-			flush := func(e int) {
-				st := &stages[e]
-				if st.n == 0 {
-					return
-				}
-				tile := nnp.Matrix{Rows: st.n, Cols: dim, Data: st.x.Data[:st.n*dim]}
-				runs[e].Rows(tile, st.g0, scratch)
-				st.n = 0
-			}
-			return func(s int) {
-				var cursor [lattice.NumElements]int
-				state := 0
-				forSystemStates(tb, work[s], func(vet encoding.VET) {
-					for e := 0; e < lattice.NumElements; e++ {
-						cursor[e] = spans[s][state][e].start
-					}
-					for i := 0; i < tb.NRegion; i++ {
-						sp := vet[i]
-						if !sp.IsAtom() {
-							continue
-						}
-						e := int(sp)
-						st := &stages[e]
-						if st.n == fusion.WideRowBlock {
-							flush(e)
-						}
-						if st.n == 0 {
-							st.g0 = cursor[e]
-						}
-						row := st.x.Row(st.n)
-						feature.ComputeSite(tb, fb.tab, vet, i, row)
-						pot.NormalizeInPlace(row)
-						st.n++
-						cursor[e]++
-					}
-					state++
-				})
-				for e := range stages {
-					flush(e)
-				}
-			}
-		})
-		for e := range runs {
-			if runs[e] == nil {
-				outs[e] = nnp.NewMatrix(0, 1)
-				continue
-			}
-			res := runs[e].Finish()
-			outs[e] = res.Out
-			modeled += res.Seconds
-			totalRows += int64(res.Out.Rows)
-		}
-	} else {
-		// F32 materialises the fused per-element matrices (quantisation
-		// converts them wholesale) and launches one wide kernel per head.
-		sc, _ := fb.scratch.Get().(*fbScratch)
-		if sc == nil {
-			sc = &fbScratch{}
-		}
-		xs := make([]nnp.Matrix, lattice.NumElements)
-		for e := range xs {
-			n := rowsPerElem[e] * dim
-			if cap(sc.bufs[e]) < n {
-				sc.bufs[e] = make([]float64, n)
-			}
-			xs[e] = nnp.Matrix{Rows: rowsPerElem[e], Cols: dim, Data: sc.bufs[e][:n]}
-		}
-		forEachSystem(nSys, workers, func() func(s int) {
-			return func(s int) {
-				var cursor [lattice.NumElements]int
-				state := 0
-				forSystemStates(tb, work[s], func(vet encoding.VET) {
-					for e := 0; e < lattice.NumElements; e++ {
-						cursor[e] = spans[s][state][e].start
-					}
-					for i := 0; i < tb.NRegion; i++ {
-						sp := vet[i]
-						if !sp.IsAtom() {
-							continue
-						}
-						e := int(sp)
-						row := xs[e].Row(cursor[e])
-						feature.ComputeSite(tb, fb.tab, vet, i, row)
-						pot.NormalizeInPlace(row)
-						cursor[e]++
-					}
-					state++
-				})
-			}
-		})
-		for e := range xs {
-			if xs[e].Rows == 0 {
-				outs[e] = nnp.NewMatrix(0, 1)
-				continue
-			}
-			res := fusion.RunBigFusionWideF32(pot.Nets[e], xs[e], fb.arch, workers)
-			outs[e] = res.Out
-			modeled += res.Seconds
-			totalRows += int64(xs[e].Rows)
-		}
-		fb.scratch.Put(sc) // fused inputs fully consumed by the kernel launches
+	out := make([]Result, len(vets))
+	workers := fb.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	fusionSW.Stop()
-
-	// Scatter — per (system, state), sum per-element row outputs in the
-	// exact order of Potential.RegionEnergy: element-ascending, site
-	// order within an element, then the rows·ERef term. This reproduces
-	// the uncached float addition sequence bit for bit.
-	forEachState(tb, work, func(s, state int, vet encoding.VET) {
-		total := 0.0
-		for e := 0; e < lattice.NumElements; e++ {
-			sp := spans[s][state][e]
-			col := outs[e].Data
-			for r := sp.start; r < sp.start+sp.count; r++ {
-				total += col[r]
-			}
-			total += float64(sp.count) * pot.ERef[e]
-		}
-		if math.IsNaN(total) || math.IsInf(total, 0) {
-			panic(&fault.CorruptionError{
-				Subsystem: "evalserve",
-				Detail:    fmt.Sprintf("fused region energy is %v (system %d, state %d)", total, s, state),
-			})
-		}
-		if state == 0 {
-			out[s].Initial = total
+	workers = min(workers, len(vets))
+	var next atomic.Int64
+	work := func() {
+		var s *nnp.Scratch
+		if fb.q != nil {
+			s = fb.pot.NewScratch32(fb.tb, fb.q)
 		} else {
-			out[s].Final[state-1] = total
-			out[s].Valid[state-1] = true
+			s = fb.pot.NewScratch(fb.tb)
 		}
-	})
-
-	fb.mu.Lock()
-	fb.stats.Batches++
-	fb.stats.Systems += int64(nSys)
-	fb.stats.Rows += totalRows
-	fb.stats.ModeledSeconds += modeled
-	fb.mu.Unlock()
-	return out
-}
-
-// forEachState visits, for every system, the initial state and each valid
-// final state, with the VET temporarily mutated into that state (hops are
-// applied and reverted exactly as Potential.HopEnergies does). States are
-// numbered 0 (initial) and k+1 (hop direction k). Single-goroutine only
-// (it mutates the VETs in place); the parallel feature pass instead runs
-// forSystemStates per system on the owning worker.
-func forEachState(tb *encoding.Tables, work []encoding.VET, visit func(s, state int, vet encoding.VET)) {
-	for s, vet := range work {
-		state := 0
-		forSystemStates(tb, vet, func(v encoding.VET) {
-			visit(s, state, v)
-			state++
-		})
-	}
-}
-
-// forSystemStates visits one system's states in canonical order — the
-// initial VET, then each valid hop's final state — mutating and reverting
-// the VET in place. The caller must own the VET exclusively.
-func forSystemStates(tb *encoding.Tables, vet encoding.VET, visit func(vet encoding.VET)) {
-	visit(vet)
-	for k := 0; k < 8; k++ {
-		if !vet[tb.NN1Index[k]].IsAtom() {
-			continue
+		// HopEnergies mutates the VET in place (and reverts it); the
+		// caller's buffer may be shared with a blocked engine goroutine,
+		// so each system runs on a private copy.
+		vet := fb.tb.NewVET()
+		for i := int(next.Add(1)) - 1; i < len(vets); i = int(next.Add(1)) - 1 {
+			copy(vet, vets[i])
+			r := &out[i]
+			r.Initial, r.Final, r.Valid = fb.pot.HopEnergies(fb.tb, fb.tab, vet, s)
 		}
-		tb.ApplyHop(vet, k)
-		visit(vet)
-		tb.ApplyHop(vet, k)
-	}
-}
-
-// forEachSystem runs visit(s) for every system index, spread over up to
-// `workers` goroutines (inline when one suffices). mk builds one visit
-// function per worker so each can close over private staging buffers and
-// scratch. Systems write only rows they own, so scheduling never affects
-// results.
-func forEachSystem(n, workers int, mk func() func(s int)) {
-	if workers > n {
-		workers = n
 	}
 	if workers <= 1 {
-		visit := mk()
-		for s := 0; s < n; s++ {
-			visit(s)
-		}
-		return
+		work()
+		return out
 	}
-	var cursor atomic.Int64
+	// A worker's panic (e.g. the non-finite-energy tripwire's
+	// *fault.CorruptionError) is re-raised on the caller's goroutine,
+	// where the server recovers it.
 	var wg sync.WaitGroup
+	var once sync.Once
+	var failure any
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			visit := mk()
-			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= n {
-					return
+			defer func() {
+				if p := recover(); p != nil {
+					once.Do(func() { failure = p })
+					next.Store(int64(len(vets))) // stop the other workers
 				}
-				visit(s)
-			}
+			}()
+			work()
 		}()
 	}
 	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
+	return out
 }

@@ -6,16 +6,15 @@
 // Requests are (1) deduplicated through a sharded LRU cache keyed on a
 // canonical content-address of the VET local environment — the paper's
 // vacancy cache (Sec. 3.2) generalized across vacancies and across
-// engines — and (2) on miss, coalesced by a batcher into wide per-element
-// matrices evaluated through the big-fusion operator (Sec. 3.5) on a
-// bounded worker pool with backpressure and graceful drain.
+// engines — and (2) on miss, coalesced by a batcher into batches
+// evaluated by a Backend on a bounded worker pool with backpressure and
+// graceful drain.
 //
 // The hard contract, inherited from the repo's trajectory tests: cached
 // and uncached runs must be bit-identical. Three mechanisms enforce it —
 // the cache stores the exact f64 outputs, every hit re-verifies the full
 // encoded environment (hash equality is never trusted alone), and the
-// fused f64 batch path reproduces the uncached float-addition sequence
-// exactly (see FusionBackend).
+// f64 NNP backend runs the engine's own HopEnergies (see FusionBackend).
 package evalserve
 
 import (
@@ -39,7 +38,7 @@ type Options struct {
 	// Shards is the cache shard count (default 8, rounded up to a power
 	// of two).
 	Shards int
-	// MaxBatch bounds how many distinct systems one fused evaluation
+	// MaxBatch bounds how many distinct systems one backend evaluation
 	// carries (default 64).
 	MaxBatch int
 	// Workers is the evaluation worker-pool size (default 2).
@@ -52,7 +51,7 @@ type Options struct {
 	// prefetch (speculation is advisory). Default = QueueDepth.
 	SpecQueueDepth int
 	// Telemetry, if non-nil, exports the service counters as registry
-	// metrics and times fused dispatches under the evalserve/batch span.
+	// metrics and times backend dispatches under the evalserve/batch span.
 	// The registry metrics are function-backed reads of the very same
 	// atomics and shard counters that Stats() snapshots, so /metrics and
 	// Stats() can never disagree about a value — they are one storage
@@ -525,12 +524,12 @@ func (s *Server) Stats() Stats {
 }
 
 // worker pulls pending misses, coalescing everything immediately
-// available (up to MaxBatch) into one fused evaluation. Demand requests
+// available (up to MaxBatch) into one backend evaluation. Demand requests
 // always fill first; any leftover width is topped up from the
 // speculative queue — the speculation payoff: batches that would have
 // gone out narrow instead carry prefetch work that warms the cache for
 // free. With a single synchronous caller and no speculation, batches
-// degenerate to width 1 — correct, just unamortised.
+// degenerate to width 1.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	reqCh, specCh := s.reqCh, s.specCh

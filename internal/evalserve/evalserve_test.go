@@ -66,10 +66,6 @@ func TestFusionBackendBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	st := fb.Stats()
-	if st.Batches == 0 || st.Rows == 0 || st.ModeledSeconds <= 0 {
-		t.Fatalf("fusion stats not accumulated: %+v", st)
-	}
 }
 
 // TestFusionBackendF32Deterministic: the f32 path is not bit-identical to
@@ -299,6 +295,35 @@ func TestModelBackendMatchesNNP(t *testing.T) {
 		wi, wf, wv := direct.HopEnergies(vet)
 		if got[i].Initial != wi || got[i].Final != wf || got[i].Valid != wv {
 			t.Fatalf("system %d: pooled (%v) != direct (%v)", i, got[i].Initial, wi)
+		}
+	}
+}
+
+// TestFusionBackendDivacancy: with a second vacancy at 1NN direction k,
+// hop k is closed and every other direction keeps its own slot. The
+// backend must match the direct evaluator bit for bit in Initial, Final
+// and Valid, for every k and any worker count.
+func TestFusionBackendDivacancy(t *testing.T) {
+	pot, tb := smallPotential(5)
+	direct := nnp.NewLatticeEvaluator(pot, tb)
+	var vets []encoding.VET
+	for k, vet := range sampleVETs(t, tb, 7, 6) {
+		vet[tb.NN1Index[k]] = lattice.Vacancy
+		vets = append(vets, vet)
+	}
+	for _, workers := range []int{1, 3} {
+		fb := NewFusionBackend(pot, tb, F64)
+		fb.SetWorkers(workers)
+		got := fb.EvaluateBatch(vets)
+		for k, vet := range vets {
+			wi, wf, wv := direct.HopEnergies(vet)
+			if wv[k] {
+				t.Fatalf("direction %d holds a vacancy but is valid", k)
+			}
+			if got[k].Initial != wi || got[k].Final != wf || got[k].Valid != wv {
+				t.Fatalf("workers %d, vacancy at direction %d: backend (%v, %v, %v) != direct (%v, %v, %v)",
+					workers, k, got[k].Initial, got[k].Final, got[k].Valid, wi, wf, wv)
+			}
 		}
 	}
 }

@@ -135,8 +135,8 @@ func (t *Table) MemoryBytes() int { return 8 * len(t.vals) }
 // first tallied into per-(element, distance-shell) occupancy counts, then
 // each occupied shell contributes count·TABLE[shell] to its element's
 // channel block, shells ascending — the weighted-TABLE form of Eq. (6).
-// The order is fixed, so every caller (serial evaluator, fused batcher,
-// CPE feature operator) produces bit-identical rows for the same VET.
+// The order is fixed, so every caller (NNP region energy, CPE feature
+// operator) produces bit-identical rows for the same VET.
 // Grouping by shell costs O(occupied shells) table passes per site
 // instead of O(neighbours) — on the bcc lattice roughly a 5× reduction.
 func ComputeSite(tb *encoding.Tables, tab *Table, vet encoding.VET, i int, out []float64) {

@@ -66,8 +66,7 @@ const convIndexOverhead = 1.23
 
 // Result bundles a run's output and its modelled cost.
 type Result struct {
-	// Out is the m×1 network output, bit-identical across variants and
-	// worker counts (the contract the wide/streaming kernels must keep).
+	// Out is the m×1 network output, bit-identical across variants.
 	Out nnp.Matrix
 	// Ct are the modelled hardware counters of the run (flops, DMA
 	// bytes, LDM traffic) and Seconds the roofline-modelled time they
@@ -81,29 +80,24 @@ type Result struct {
 
 // Run executes the network on a batch of m samples with the given
 // variant on a fresh simulated core group and returns the output plus
-// modelled cost. The input x is (m × inputDim).
+// modelled cost. The input x is (m × inputDim). Every variant computes
+// the same numbers, so the output always comes from one Network.Forward
+// (the inference kernel); the variants differ only in the counters they
+// charge.
 func Run(v Variant, net *nnp.Network, x nnp.Matrix, arch sw.Arch) Result {
 	cg := sw.NewCoreGroup(arch)
-	var out nnp.Matrix
-	overlap := false
+	m := x.Rows
 	switch v {
 	case Base, Matmul, SIMD:
-		out = runLayered(v, net, x, cg)
+		accountLayered(v, net, m, cg)
 	case Fused:
-		out = runFused(net, x, cg)
+		accountFused(net, m, cg)
 	case BigFusion:
-		out = runBigFusion(net, x, cg)
-		overlap = true
+		accountBigFusion(cg, net, m)
 	default:
 		panic("fusion: unknown variant")
 	}
-	res := Result{Out: out, Ct: cg.Ct, Seconds: cg.Ct.Time(arch, overlap)}
-	for _, l := range cg.LDMs {
-		if l.Peak() > res.PeakLDM {
-			res.PeakLDM = l.Peak()
-		}
-	}
-	return res
+	return finishResult(cg, arch, net.Forward(x), v == BigFusion)
 }
 
 // dmaTransfer counts a bulk transfer staged through DMA blocks.
@@ -119,11 +113,9 @@ func dmaTransfer(cg *sw.CoreGroup, bytes int) {
 	}
 }
 
-// runLayered implements the three unfused rungs: per layer a matmul pass,
-// a bias pass and a ReLU pass, each streaming through main memory.
-func runLayered(v Variant, net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
-	m := x.Rows
-	cur := x
+// accountLayered charges the three unfused rungs: per layer a matmul
+// pass, a bias pass and a ReLU pass, each streaming through main memory.
+func accountLayered(v Variant, net *nnp.Network, m int, cg *sw.CoreGroup) {
 	for _, layer := range net.Layers {
 		in, outW := layer.W.Rows, layer.W.Cols
 		// Matmul pass: read input and weights, write output.
@@ -139,7 +131,6 @@ func runLayered(v Variant, net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp
 		case SIMD:
 			cg.Ct.VectorFlops += flops
 		}
-		next := nnp.MatMul(cur, layer.W)
 		// Bias pass: read + write the activation map.
 		dmaTransfer(cg, 2*m*outW*4)
 		// ReLU pass: read + write again.
@@ -150,50 +141,32 @@ func runLayered(v Variant, net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp
 		} else {
 			cg.Ct.ScalarFlops += passFlops
 		}
-		if layer.Relu {
-			nnp.AddBiasRelu(next, layer.B)
-		} else {
-			nnp.AddBias(next, layer.B)
-		}
-		cur = next
 	}
-	return cur
 }
 
-// runFused implements the per-layer fused kernel: one read of the input,
-// one write of the output, bias and ReLU in registers.
-func runFused(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
-	m := x.Rows
-	cur := x
+// accountFused charges the per-layer fused kernel: one read of the
+// input, one write of the output, bias and ReLU in registers.
+func accountFused(net *nnp.Network, m int, cg *sw.CoreGroup) {
 	for _, layer := range net.Layers {
 		in, outW := layer.W.Rows, layer.W.Cols
 		dmaTransfer(cg, m*in*4)
 		dmaTransfer(cg, (in*outW+outW)*4)
 		dmaTransfer(cg, m*outW*4)
 		cg.Ct.VectorFlops += float64(2*m*in*outW) + float64(2*m*outW)
-		next := nnp.MatMul(cur, layer.W)
-		if layer.Relu {
-			nnp.AddBiasRelu(next, layer.B)
-		} else {
-			nnp.AddBias(next, layer.B)
-		}
-		cur = next
 	}
-	return cur
 }
 
-// runBigFusion implements Algorithm 1 functionally: the batch is divided
-// into row blocks assigned to CPEs round-robin; each CPE carries its
-// block through all layers entirely in LDM. Each CPE column owns one
+// accountBigFusion charges Algorithm 1 for an m-row batch: the batch is
+// divided into row blocks assigned to CPEs round-robin; each CPE carries
+// its block through all layers entirely in LDM. Each CPE column owns one
 // layer's parameters and broadcasts them along its row on demand (RMA).
 // Main memory is touched exactly twice per block: the first-layer input
 // and the last-layer output.
-func runBigFusion(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
+func accountBigFusion(cg *sw.CoreGroup, net *nnp.Network, m int) {
 	if len(net.Layers) > cg.Arch.CPECols {
 		panic(fmt.Sprintf("fusion: %d layers exceed the %d CPE columns (paper supports up to eight)",
 			len(net.Layers), cg.Arch.CPECols))
 	}
-	m := x.Rows
 	nCPE := cg.Arch.NumCPEs()
 	const mBlock = 32 // rows per CPE per iteration (the paper's m_block)
 
@@ -230,39 +203,22 @@ func runBigFusion(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
 		cg.LDMs[c].Alloc(stateBuf + layerBuf)
 	}
 
-	out := nnp.NewMatrix(m, net.OutputDim())
 	inDim := net.InputDim()
-	iterations := 0
 	for start := 0; start < m; start += nCPE * mBlock {
-		iterations++
 		for cpe := 0; cpe < nCPE; cpe++ {
 			lo := start + cpe*mBlock
 			if lo >= m {
 				break
 			}
-			hi := lo + mBlock
-			if hi > m {
-				hi = m
-			}
-			rows := hi - lo
-			// Fetch this block's input (the only input read).
+			rows := min(lo+mBlock, m) - lo
+			// Fetch this block's input (the only input read), run it
+			// through every layer, put back the final output (the only
+			// output write).
 			cg.DMAGet(cpe, rows*inDim*4)
-			block := nnp.Matrix{Rows: rows, Cols: inDim, Data: x.Data[lo*inDim : hi*inDim]}
-			cur := block
 			for _, layer := range net.Layers {
-				cur = nnp.MatMul(cur, layer.W)
-				if layer.Relu {
-					nnp.AddBiasRelu(cur, layer.B)
-				} else {
-					nnp.AddBias(cur, layer.B)
-				}
 				cg.Ct.VectorFlops += float64(2*rows*layer.W.Rows*layer.W.Cols) + float64(2*rows*layer.W.Cols)
 			}
-			// Put back the final output (the only output write).
 			cg.DMAPut(cpe, rows*net.OutputDim()*4)
-			for r := 0; r < rows; r++ {
-				copy(out.Row(lo+r), cur.Row(r))
-			}
 		}
 		// Per iteration, each layer's owning column broadcasts its
 		// parameters along the rows (Fig. 6f).
@@ -274,81 +230,24 @@ func runBigFusion(net *nnp.Network, x nnp.Matrix, cg *sw.CoreGroup) nnp.Matrix {
 	for c := 0; c < nCPE; c++ {
 		cg.LDMs[c].Free(stateBuf + layerBuf)
 	}
-	return out
 }
 
 // RunBigFusionF32 executes the big-fusion operator in single precision —
 // the arithmetic the real SW26010-pro uses (the paper quotes 76.64% of
 // *single-precision* peak and 4-byte elements throughout Fig. 9). The
-// result differs from the float64 path only by rounding; the test bounds
-// the deviation at the level the KMC rate code tolerates.
+// modelled cost is the float64 big-fusion run's; the output differs from
+// it only by rounding, and the test bounds the deviation at the level the
+// KMC rate code tolerates.
 func RunBigFusionF32(net *nnp.Network, x nnp.Matrix, arch sw.Arch) Result {
 	cg := sw.NewCoreGroup(arch)
-	q := net.Quantize()
-	m := x.Rows
-	inDim := net.InputDim()
-	const mBlock = 32
-	nCPE := cg.Arch.NumCPEs()
+	accountBigFusion(cg, net, x.Rows)
+	return finishResult(cg, arch, net.Quantize().Forward(nnp.ToF32(x)).ToF64(), true)
+}
 
-	totalParamBytes := 0
-	maxW := 0
-	for _, l := range net.Layers {
-		totalParamBytes += (len(l.W.Data) + len(l.B)) * 4
-		if l.W.Cols > maxW {
-			maxW = l.W.Cols
-		}
-		if l.W.Rows > maxW {
-			maxW = l.W.Rows
-		}
-	}
-	perCPEShare := (totalParamBytes/len(net.Layers) + cg.Arch.CPERows - 1) / cg.Arch.CPERows
-	stateBuf := 2 * mBlock * maxW * 4
-	layerBuf := 0
-	for _, l := range net.Layers {
-		if b := (len(l.W.Data) + len(l.B)) * 4; b > layerBuf {
-			layerBuf = b
-		}
-	}
-	for c := 0; c < nCPE; c++ {
-		cg.LDMs[c].Alloc(perCPEShare + stateBuf + layerBuf)
-	}
-	for b := totalParamBytes; b > 0; b -= cg.Arch.DMABlock {
-		cg.DMAGet(0, min(b, cg.Arch.DMABlock))
-	}
-
-	out := nnp.NewMatrix(m, net.OutputDim())
-	xf := nnp.ToF32(x)
-	for start := 0; start < m; start += nCPE * mBlock {
-		for cpe := 0; cpe < nCPE; cpe++ {
-			lo := start + cpe*mBlock
-			if lo >= m {
-				break
-			}
-			hi := lo + mBlock
-			if hi > m {
-				hi = m
-			}
-			rows := hi - lo
-			cg.DMAGet(cpe, rows*inDim*4)
-			block := nnp.Matrix32{Rows: rows, Cols: inDim, Data: xf.Data[lo*inDim : hi*inDim]}
-			cur := q.Forward(block)
-			var flops float64
-			for _, l := range net.Layers {
-				flops += float64(2*rows*l.W.Rows*l.W.Cols) + float64(2*rows*l.W.Cols)
-			}
-			cg.Ct.VectorFlops += flops
-			cg.DMAPut(cpe, rows*net.OutputDim()*4)
-			for r := 0; r < rows; r++ {
-				for j := 0; j < net.OutputDim(); j++ {
-					out.Set(lo+r, j, float64(cur.Row(r)[j]))
-				}
-			}
-		}
-		for _, l := range net.Layers {
-			cg.RMARowBroadcast((len(l.W.Data) + len(l.B)) * 4)
-		}
-	}
-	res := Result{Out: out, Ct: cg.Ct, Seconds: cg.Ct.Time(arch, true)}
+// finishResult packages the output and the accumulated modelled cost
+// (overlap selects big-fusion's DMA/compute overlap) into a Result.
+func finishResult(cg *sw.CoreGroup, arch sw.Arch, out nnp.Matrix, overlap bool) Result {
+	res := Result{Out: out, Ct: cg.Ct, Seconds: cg.Ct.Time(arch, overlap)}
 	for _, l := range cg.LDMs {
 		if l.Peak() > res.PeakLDM {
 			res.PeakLDM = l.Peak()

@@ -623,26 +623,43 @@ func Run(n int, fn func(c *Comm)) {
 }
 
 // RunWorld is Run over a caller-constructed world, so chaos interposers
-// and watchdogs can be installed before the ranks start.
+// and watchdogs can be installed before the ranks start. A rank that
+// panics breaks the world, so peers blocked on it in a collective return
+// (or panic) instead of hanging; once every rank has finished, the first
+// panic is re-raised on the caller.
 func RunWorld(w *World, fn func(c *Comm)) {
 	var wg sync.WaitGroup
-	panics := make([]any, w.size)
+	var first error
 	for r := 0; r < w.size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					panics[rank] = p
+					err := fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+					w.mu.Lock()
+					if first == nil {
+						first = err
+					}
+					w.breakWorldLocked(err)
+					w.mu.Unlock()
 				}
 			}()
 			fn(w.Comm(rank))
 		}(r)
 	}
 	wg.Wait()
-	for r, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r, p))
-		}
+	if first != nil {
+		panic(first.Error())
 	}
+}
+
+// Abort breaks the world with err on behalf of this rank: every
+// collective blocked on it, and every later one, returns (or panics
+// with) the world's error instead of waiting. The first break wins.
+func (c *Comm) Abort(err error) {
+	w := c.world
+	w.mu.Lock()
+	w.breakWorldLocked(err)
+	w.mu.Unlock()
 }

@@ -64,39 +64,13 @@ func (n *Network) Quantize() *Network32 {
 	return q
 }
 
-// Forward evaluates the quantised network on a float32 batch.
-// Accumulation is float32 throughout, matching SIMD hardware behaviour.
+// Forward evaluates the quantised network on a float32 batch through
+// the float32 inference kernel. Accumulation is float32 throughout,
+// matching SIMD hardware behaviour.
 func (q *Network32) Forward(x Matrix32) Matrix32 {
-	if x.Cols != q.Sizes[0] {
-		panic("nnp: f32 forward input width mismatch")
-	}
-	cur := x
-	for _, l := range q.layers {
-		next := NewMatrix32(cur.Rows, l.w.Cols)
-		for i := 0; i < cur.Rows; i++ {
-			ar := cur.Row(i)
-			cr := next.Row(i)
-			for k := 0; k < cur.Cols; k++ {
-				av := ar[k]
-				if av == 0 {
-					continue
-				}
-				br := l.w.Row(k)
-				for j := range br {
-					cr[j] += av * br[j]
-				}
-			}
-			for j := range cr {
-				v := cr[j] + l.b[j]
-				if l.relu && v < 0 {
-					v = 0
-				}
-				cr[j] = v
-			}
-		}
-		cur = next
-	}
-	return cur
+	out := NewMatrix32(x.Rows, q.Sizes[len(q.Sizes)-1])
+	q.ForwardBlockInto(x, out, 0, x.Rows, &BlockScratch32{})
+	return out
 }
 
 // Potential32 is the single-precision inference form of a trained

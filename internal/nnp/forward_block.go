@@ -1,22 +1,25 @@
 package nnp
 
-// Block-forward kernels: the allocation-free row-block inference paths
-// behind the wide-GEMM big-fusion operator (fusion.RunBigFusionWide).
+import "fmt"
+
+// The inference kernels: one float64 row kernel (gemmBlock) and one
+// float32 row kernel (forwardRow32). Every inference path runs them —
+// Network.Forward and Network32.Forward, the row tiles of
+// Potential.RegionEnergy (and so the serial engine, the parallel ranks
+// and the evaluation service), and the fusion ladder of Fig. 10.
+// Training (ForwardTape, Backward, DoubleBackward) keeps MatMul.
 //
 // Determinism contract: for every row, the accumulation over the input
-// dimension runs in ascending k order with the same zero-skip the MatMul
-// kernels use, followed by the same bias-then-activation sequence — so
-// each output row is bit-identical to Network.Forward / Network32.Forward
-// of the same row, regardless of block size or which goroutine computes
-// it. This row independence is what lets the fused batch path stack any
-// number of vacancy systems into one tall matrix without perturbing
-// trajectories.
+// dimension runs in ascending k order with the same zero-skip MatMul
+// uses, followed by bias, then the activation — so each output row is
+// bit-identical to MatMul + AddBias(Relu) of the same row, regardless of
+// how many rows a call carries or which goroutine runs it.
 
 // BlockScratch holds the reusable float64 activation buffers of one
-// block-forward worker. It is NOT safe for concurrent use: give each
-// goroutine its own scratch (the buffers are the whole point — reusing
-// them removes the per-layer allocations and cold-memory zeroing that
-// dominate the naive batched path).
+// block-forward caller. It is NOT safe for concurrent use: give each
+// goroutine its own scratch. The buffers grow to the largest block seen,
+// so callers that reuse a scratch bound its size by bounding their
+// blocks (RegionEnergy's tiles).
 type BlockScratch struct {
 	a, b []float64
 }
@@ -52,7 +55,7 @@ func (n *Network) maxLayerWidth() int {
 // single serial Forward over all of x.
 func (n *Network) ForwardBlockInto(x, out Matrix, lo, hi int, s *BlockScratch) {
 	if x.Cols != n.InputDim() {
-		panic("nnp: block forward input width mismatch")
+		panic(fmt.Sprintf("nnp: forward input width %d, want %d", x.Cols, n.InputDim()))
 	}
 	if out.Cols != n.OutputDim() {
 		panic("nnp: block forward output width mismatch")
@@ -209,10 +212,9 @@ func (q *Network32) maxLayerWidth() int {
 }
 
 // ForwardBlockInto evaluates rows [lo, hi) of x through the quantised
-// network into the same rows of out, with float32 accumulation matching
-// Network32.Forward bit for bit (ascending-k order, zero-skip, bias then
-// ReLU). Concurrent calls on disjoint row ranges with private scratches
-// are race-free and schedule-independent.
+// network into the same rows of out, row by row through forwardRow32.
+// Concurrent calls on disjoint row ranges with private scratches are
+// race-free and schedule-independent.
 func (q *Network32) ForwardBlockInto(x, out Matrix32, lo, hi int, s *BlockScratch32) {
 	if x.Cols != q.Sizes[0] {
 		panic("nnp: f32 block forward input width mismatch")
@@ -249,8 +251,9 @@ func (q *Network32) ForwardBlockInto(x, out Matrix32, lo, hi int, s *BlockScratc
 	_ = next
 }
 
-// forwardRow32 mirrors forwardRow in single precision, reproducing the
-// Network32.Forward operation order exactly.
+// forwardRow32 is the float32 row kernel: cr = act(ar·W + b) with
+// zero-initialised float32 accumulation in ascending k order, the
+// zero-skip, then bias, then ReLU.
 func forwardRow32(cr, ar []float32, w Matrix32, b []float32, relu bool) {
 	for j := range cr {
 		cr[j] = 0

@@ -79,21 +79,12 @@ func (n *Network) FlopsPerSample() int {
 	return f
 }
 
-// Forward evaluates the network on a batch (rows = samples).
+// Forward evaluates the network on a batch (rows = samples) through the
+// inference kernel, into a freshly allocated output.
 func (n *Network) Forward(x Matrix) Matrix {
-	if x.Cols != n.InputDim() {
-		panic(fmt.Sprintf("nnp: forward input width %d, want %d", x.Cols, n.InputDim()))
-	}
-	cur := x
-	for _, l := range n.Layers {
-		cur = MatMul(cur, l.W)
-		if l.Relu {
-			AddBiasRelu(cur, l.B)
-		} else {
-			AddBias(cur, l.B)
-		}
-	}
-	return cur
+	out := NewMatrix(x.Rows, n.OutputDim())
+	n.ForwardBlockInto(x, out, 0, x.Rows, &BlockScratch{})
+	return out
 }
 
 // Tape stores the intermediate activations of a forward pass needed by

@@ -52,23 +52,8 @@ func NewPotential(desc *feature.Descriptor, sizes []int, r *rng.Stream) *Potenti
 
 // NormalizeInto writes the normalised feature vector into dst — the
 // exact channel-wise transform the evaluator applies before the network,
-// exported so external batchers (internal/evalserve) reproduce it
-// bit-identically.
+// exported so code outside the package reproduces it bit-identically.
 func (p *Potential) NormalizeInto(dst, raw []float64) { p.normalizeInto(dst, raw) }
-
-// NormalizeInPlace normalises a raw feature row in place: the same
-// arithmetic as NormalizeInto with dst == raw, so batch assemblers can
-// compute features directly into a fused matrix row and skip the copy.
-// With no normalisation constants (FeatMean nil) it is a no-op, which is
-// exactly what NormalizeInto's copy degenerates to.
-func (p *Potential) NormalizeInPlace(row []float64) {
-	if p.FeatMean == nil {
-		return
-	}
-	for c, v := range row {
-		row[c] = (v - p.FeatMean[c]) / p.FeatStd[c]
-	}
-}
 
 // normalizeInto writes the normalised feature vector into dst.
 func (p *Potential) normalizeInto(dst, raw []float64) {
@@ -92,28 +77,61 @@ func (p *Potential) AtomEnergy(s lattice.Species, raw []float64) float64 {
 	return out.Data[0] + p.ERef[s]
 }
 
+// tileRows is the row-tile height of RegionEnergy: each element's region
+// sites stream through the inference kernel 32 rows at a time (the
+// paper's m_block), so a Scratch stays a few tens of KiB whatever the
+// region size.
+const tileRows = 32
+
 // Scratch holds reusable buffers for region-energy evaluation so the KMC
 // hot loop does not allocate. One Scratch per goroutine.
 type Scratch struct {
 	feats []float64 // site feature vector (Dim)
-	x     Matrix    // per-element batch input
+	x     Matrix    // one tile of normalised feature rows (tileRows × Dim)
+	out   Matrix    // the tile's network outputs (tileRows × 1)
+	blk   BlockScratch
+	f32   *tile32 // non-nil: run tiles through the float32 kernel
+}
+
+// tile32 is the float32 side of a Scratch built by NewScratch32.
+type tile32 struct {
+	q   *Potential32
+	x   Matrix32
+	out Matrix32
+	blk BlockScratch32
 }
 
 // NewScratch sizes a scratch for the given tables/potential pair.
 func (p *Potential) NewScratch(tb *encoding.Tables) *Scratch {
+	dim := p.Desc.Dim()
 	return &Scratch{
-		feats: make([]float64, p.Desc.Dim()),
-		x:     NewMatrix(tb.NRegion, p.Desc.Dim()),
+		feats: make([]float64, dim),
+		x:     NewMatrix(tileRows, dim),
+		out:   NewMatrix(tileRows, 1),
 	}
+}
+
+// NewScratch32 sizes a scratch whose tiles run through q, the quantised
+// form of p, in the float32 kernel. Features and their normalisation stay
+// float64 and each tile is rounded to float32 on its way into the
+// kernel; the outputs are summed in float64 exactly as with NewScratch.
+// The energies are deterministic but NOT bit-identical to the float64
+// path.
+func (p *Potential) NewScratch32(tb *encoding.Tables, q *Potential32) *Scratch {
+	s := p.NewScratch(tb)
+	dim := p.Desc.Dim()
+	s.f32 = &tile32{q: q, x: NewMatrix32(tileRows, dim), out: NewMatrix32(tileRows, 1)}
+	return s
 }
 
 // RegionEnergy returns the total energy of the jumping region of a
 // vacancy system in state vet: the sum of per-atom energies over region
 // sites. Outer (N_out) sites only shape the features of region sites;
 // their own energies are invariant under any hop and therefore excluded
-// (Sec. 3.1). The evaluation batches atoms per element so each element
-// head runs one matmul — the structure the big-fusion operator executes
-// on CPEs.
+// (Sec. 3.1). Each element's sites stream through its head in row tiles
+// — the row blocks the big-fusion operator runs on CPEs — and the
+// per-atom outputs are summed element by element in site order, then the
+// element's reference energy is added once per atom.
 func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet encoding.VET, s *Scratch) float64 {
 	if s == nil {
 		s = p.NewScratch(tb)
@@ -121,24 +139,47 @@ func (p *Potential) RegionEnergy(tb *encoding.Tables, tab *feature.Table, vet en
 	dim := p.Desc.Dim()
 	total := 0.0
 	for e := 0; e < lattice.NumElements; e++ {
-		rows := 0
+		rows, n := 0, 0
 		for i := 0; i < tb.NRegion; i++ {
 			if vet[i] != lattice.Species(e) {
 				continue
 			}
 			feature.ComputeSite(tb, tab, vet, i, s.feats)
-			p.normalizeInto(s.x.Data[rows*dim:(rows+1)*dim], s.feats)
-			rows++
+			p.normalizeInto(s.x.Data[n*dim:(n+1)*dim], s.feats)
+			n++
+			if n == tileRows {
+				total = s.addTile(p, e, n, total)
+				rows += n
+				n = 0
+			}
 		}
-		if rows == 0 {
-			continue
+		if n > 0 {
+			total = s.addTile(p, e, n, total)
+			rows += n
 		}
-		batch := Matrix{Rows: rows, Cols: dim, Data: s.x.Data[:rows*dim]}
-		out := p.Nets[e].Forward(batch)
-		for i := 0; i < rows; i++ {
-			total += out.Data[i]
+		if rows > 0 {
+			total += float64(rows) * p.ERef[e]
 		}
-		total += float64(rows) * p.ERef[e]
+	}
+	return total
+}
+
+// addTile runs the first n rows of the tile through element e's head and
+// adds their outputs to total in row order.
+func (s *Scratch) addTile(p *Potential, e, n int, total float64) float64 {
+	if t := s.f32; t != nil {
+		for i, v := range s.x.Data[:n*s.x.Cols] {
+			t.x.Data[i] = float32(v)
+		}
+		t.q.Nets[e].ForwardBlockInto(t.x, t.out, 0, n, &t.blk)
+		for _, v := range t.out.Data[:n] {
+			total += float64(v)
+		}
+		return total
+	}
+	p.Nets[e].ForwardBlockInto(s.x, s.out, 0, n, &s.blk)
+	for _, v := range s.out.Data[:n] {
+		total += v
 	}
 	return total
 }

@@ -17,6 +17,7 @@ package sublattice
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"tensorkmc/internal/encoding"
@@ -106,7 +107,10 @@ type Result struct {
 // With Config.ExchangeTimeout set, a rank that stalls (dies, hangs, or
 // is held by the Chaos interposer) makes Run return an error naming the
 // stalled ranks instead of hanging; the global box is then unmodified
-// and the caller can resume from its last-good checkpoint.
+// and the caller can resume from its last-good checkpoint. A rank that
+// fails — a corruption or transport error, or any other panic — breaks
+// the world whatever the timeout, so its peers return at once: Run then
+// returns the first failed rank's error, or re-raises its panic.
 func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Model) (*Result, error) {
 	if cfg.TStop == 0 {
 		cfg.TStop = DefaultTStop
@@ -115,6 +119,20 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 	nRanks := cfg.Ranks()
 	results := make([]*rankState, nRanks)
 	errs := make([]error, nRanks)
+	// firstErr is the rank whose error was recorded first. A failing rank
+	// records its error before it breaks the world, so peers that fail
+	// because of it (a broken exchange) record theirs later.
+	var mu sync.Mutex
+	firstErr := -1
+	fail := func(c *mpi.Comm, err error) {
+		mu.Lock()
+		errs[c.Rank()] = err
+		if firstErr < 0 {
+			firstErr = c.Rank()
+		}
+		mu.Unlock()
+		c.Abort(err)
+	}
 	w := mpi.NewWorld(nRanks)
 	if cfg.Chaos != nil {
 		w.SetChaos(cfg.Chaos)
@@ -126,39 +144,45 @@ func Run(box *lattice.Box, cfg Config, duration float64, factory func() kmc.Mode
 		// A corruption tripwire (NaN propensity, non-finite energy) fires
 		// as a typed panic deep in the rate kernel; convert it into this
 		// rank's error so the sweep aborts with the diagnostic instead of
-		// crashing the process. Peers blocked on this rank's exchange are
-		// released by their ExchangeTimeout.
+		// crashing the process. Any other panic propagates through
+		// RunWorld. Either way the world breaks, so peers blocked on
+		// this rank's exchange return at once.
 		defer func() {
 			if p := recover(); p != nil {
 				switch e := p.(type) {
 				case *fault.CorruptionError:
-					errs[c.Rank()] = e
+					fail(c, e)
 				case *fault.TransportError:
 					// Remote evaluation failed past its retry budget:
 					// retryable — the supervisor replays the segment.
-					errs[c.Rank()] = e
+					fail(c, e)
 				default:
 					panic(p)
 				}
 			}
 		}()
 		r := newRank(c, box, cfg, factory())
-		errs[c.Rank()] = r.run(duration)
+		if err := r.run(duration); err != nil {
+			fail(c, err)
+			return
+		}
 		results[c.Rank()] = r
 	})
-	// A corrupted rank makes its peers stall out too; report the
-	// corruption, not the secondary timeouts, so the supervisor can
-	// classify the failure as non-retryable.
-	for rank, err := range errs {
+	if firstErr >= 0 {
+		// A corruption outranks the stalls it can cause first in peers
+		// whose exchange timeout fired before it surfaced, so the
+		// supervisor classifies the failure as non-retryable.
+		rank := firstErr
 		var ce *fault.CorruptionError
-		if errors.As(err, &ce) {
-			return nil, fmt.Errorf("sublattice: sweep aborted on rank %d: %w", rank, err)
+		if !errors.As(errs[rank], &ce) {
+			for r, err := range errs {
+				if errors.As(err, &ce) {
+					rank = r
+					break
+				}
+			}
 		}
-	}
-	for rank, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sublattice: sweep aborted on rank %d: %w", rank, err)
-		}
+		return nil, fmt.Errorf("sublattice: sweep aborted on rank %d: %w", rank, errs[rank])
 	}
 
 	out := &Result{Time: duration, Stats: make([]RankStats, nRanks)}
@@ -508,19 +532,14 @@ func (r *rankState) executeHop(slot int, k int) {
 }
 
 // exchange broadcasts accumulated changes and applies everyone else's.
-// With an ExchangeTimeout configured it returns an error (naming the
-// stalled ranks) instead of blocking forever on a dead peer.
+// It returns an error instead of blocking forever when the world breaks
+// (a failed peer) or, with an ExchangeTimeout configured, when a peer
+// stalls past it (naming the stalled ranks).
 func (r *rankState) exchange() error {
 	payload := append([]SiteChange(nil), r.changes...)
-	var all []any
-	if r.cfg.ExchangeTimeout > 0 {
-		var err error
-		all, err = r.comm.AllGatherTimeout(payload, r.cfg.ExchangeTimeout)
-		if err != nil {
-			return err
-		}
-	} else {
-		all = r.comm.AllGather(payload)
+	all, err := r.comm.AllGatherTimeout(payload, r.cfg.ExchangeTimeout)
+	if err != nil {
+		return err
 	}
 	r.changes = r.changes[:0]
 	for from, payload := range all {

@@ -3,11 +3,14 @@ package sublattice
 import (
 	"errors"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tensorkmc/internal/eam"
 	"tensorkmc/internal/encoding"
+	"tensorkmc/internal/fault"
 	"tensorkmc/internal/kmc"
 	"tensorkmc/internal/lattice"
 	"tensorkmc/internal/mpi"
@@ -346,5 +349,77 @@ func TestLargerTStopFewerExchanges(t *testing.T) {
 	mean := float64(hopsStrict+hopsLoose) / 2
 	if math.Abs(float64(hopsStrict-hopsLoose)) > 6*math.Sqrt(2*mean) {
 		t.Fatalf("hop counts diverge: %d vs %d", hopsStrict, hopsLoose)
+	}
+}
+
+// panicAfter wraps a model so that it panics with v on its n-th
+// HopEnergies call.
+type panicAfter struct {
+	kmc.Model
+	n, calls int
+	v        any
+}
+
+func (m *panicAfter) HopEnergies(vet encoding.VET) (float64, [8]float64, [8]bool) {
+	if m.calls++; m.calls == m.n {
+		panic(m.v)
+	}
+	return m.Model.HopEnergies(vet)
+}
+
+// TestFailedRankDoesNotHang: when one rank's model panics mid-run, its
+// peers blocked in the sector exchange must return even with no exchange
+// timeout — Run reports the failed rank's corruption error, or re-raises
+// its plain panic, within seconds instead of hanging.
+func TestFailedRankDoesNotHang(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    any
+	}{
+		{"corruption", &fault.CorruptionError{Subsystem: "test", Detail: "poisoned model"}},
+		{"panic", "boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := eamFactory()
+			var built atomic.Int32
+			factory := func() kmc.Model {
+				// Call 1 is Run's validation model; call 2 is the first
+				// rank's (ranks call the factory concurrently).
+				if built.Add(1) == 2 {
+					return &panicAfter{Model: base(), n: 3, v: tc.v}
+				}
+				return base()
+			}
+			cfg := Config{PX: 2, PY: 1, PZ: 1, Temperature: units.ReactorTemperature, TStop: 2e-8, Seed: 3}
+			type outcome struct {
+				err      error
+				panicked any
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				var o outcome
+				defer func() {
+					o.panicked = recover()
+					done <- o
+				}()
+				_, o.err = Run(alloyBox(16, 0.03, 0.001, 41), cfg, 1e-6, factory)
+			}()
+			var o outcome
+			select {
+			case o = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run hung after a rank failed")
+			}
+			if _, isCorruption := tc.v.(*fault.CorruptionError); isCorruption {
+				var ce *fault.CorruptionError
+				if o.panicked != nil || !errors.As(o.err, &ce) || ce.Detail != "poisoned model" {
+					t.Fatalf("want the rank's corruption error, got err %v, panic %v", o.err, o.panicked)
+				}
+				return
+			}
+			if msg, _ := o.panicked.(string); !strings.Contains(msg, "panicked: boom") {
+				t.Fatalf("want the rank's panic re-raised, got err %v, panic %v", o.err, o.panicked)
+			}
+		})
 	}
 }

@@ -38,9 +38,7 @@ const (
 	PhaseAnalyze    = "analyze"    // cluster analysis
 	PhaseAudit      = "audit"      // physics invariant audits
 	PhaseEvalServe  = "evalserve"  // evaluation-service worker root
-	PhaseBatch      = "batch"      // one fused batch evaluation
-	PhaseFeature    = "feature"    // feature-matrix assembly
-	PhaseFusion     = "fusion"     // big-fusion kernel launches
+	PhaseBatch      = "batch"      // one backend batch evaluation
 )
 
 // Well-known metric families (the acceptance surface of /metrics).

@@ -5,10 +5,11 @@
 // has regressed to its degenerate states —
 //
 //   - mean drained-batch occupancy ≤ 1.5: speculation is no longer
-//     filling batches, so every fused dispatch goes out (nearly) width-1
-//     and the wide-GEMM amortisation is dead weight;
-//   - width-64 fused evaluation slower per system than width-1: the wide
-//     kernel has lost to its own overhead, i.e. batching actively hurts;
+//     filling batches, so every backend dispatch goes out (nearly)
+//     width-1;
+//   - per-system cost at width 64 worse than at width 1 beyond the 10%
+//     band: batching itself has started to cost (the per-system work is
+//     the same at every width, so only overhead can open the gap);
 //   - speculative warm-hit rate < 0.5: the predictor is guessing wrong
 //     more often than right, so speculation is burning evaluation work
 //     without filling batches with anything useful;
@@ -37,10 +38,10 @@ import (
 )
 
 // Degenerate-state thresholds (see package comment). wideTolerance
-// absorbs shared-runner noise on the width comparison: the wide kernel
-// must at minimum not be slower than width-1 beyond the run-to-run
-// variance band; a genuine regression (streaming pipeline broken, tiles
-// falling out of cache) shows up as 1.5–2× and trips regardless.
+// absorbs shared-runner noise on the width comparison: the per-system
+// cost at width 64 must be no worse than at width 1 beyond the
+// run-to-run variance band; a genuine regression (per-batch overhead
+// growing with width) shows up as 1.5–2× and trips regardless.
 // minSpecHitRate is the coin-flip line: a predictor below 0.5 is worse
 // than guessing and speculation should be treated as broken.
 // maxRecordOverhead is the trajectory budget: recording rides the hot
@@ -122,7 +123,7 @@ func gateEvalserve(path string, report map[string]float64) bool {
 		ok = false
 	}
 	if w64 >= wideTolerance*w1 {
-		fmt.Fprintf(os.Stderr, "FAIL: width-64 fused evaluation (%.0f ns/system) is slower than width-1 (%.0f ns/system) beyond the %.0f%% noise band\n",
+		fmt.Fprintf(os.Stderr, "FAIL: per-system cost at width 64 (%.0f ns/system) is worse than at width 1 (%.0f ns/system) beyond the %.0f%% noise band\n",
 			w64, w1, 100*(wideTolerance-1))
 		ok = false
 	}

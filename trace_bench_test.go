@@ -55,7 +55,7 @@ func recordTraceBench(key string, val any) {
 // annotation and context encode, the server's decode and serve span —
 // and the summed per-request cost is divided by the measured round-trip
 // time of the request that carries the simulation's work: a cache-miss
-// evaluation through the batch pipeline (the wide-GEMM request the
+// evaluation through the batch pipeline (the NNP evaluation request the
 // paper's fleet exists to serve). The cache-hit round trip — the
 // cheapest request the wire can carry, where a fixed ~1µs tax shows
 // largest — lands in the report as trace_overhead_cached_request for
