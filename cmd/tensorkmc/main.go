@@ -233,7 +233,8 @@ func simulate(deck *input.Deck, cfg core.Config, sup *supervise.Supervisor, quie
 }
 
 // summarize prints the end-of-run account — the per-phase timing
-// breakdown, the evaluation-service counters and the recovery summary.
+// breakdown, the evaluation-service counters, the NNP row counters and
+// the recovery summary.
 // run() calls it on every exit path, so a failed or interrupted run
 // reports where its time went just like a clean one.
 func summarize(set *telemetry.Set, sup *supervise.Supervisor, stdout io.Writer) {
@@ -242,6 +243,9 @@ func summarize(set *telemetry.Set, sup *supervise.Supervisor, stdout io.Writer) 
 	sim := sup.Simulation()
 	if st, ok := sim.EvalStats(); ok {
 		fmt.Fprintln(stdout, "tensorkmc:", st.String())
+	}
+	if fwd, reuse, memo, ok := sim.NNPRows(); ok {
+		fmt.Fprintf(stdout, "tensorkmc: nnp rows: forward=%d reuse=%d memo=%d\n", fwd, reuse, memo)
 	}
 	if s := sup.Recovery().Summary(); s != "" {
 		fmt.Fprintln(stdout, "tensorkmc:", s)

@@ -123,7 +123,9 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 		Capacity: *cache, Shards: *shards, MaxBatch: *batch, Workers: *workers,
 		Telemetry: set,
 	}.WithDefaults()
-	be, err := buildBackend(*potName, tb, opts, *f32)
+	// One set of NNP row counters for every node: they share the registry.
+	rows := nnp.NewRowStats(set.Reg())
+	be, err := buildBackend(*potName, tb, opts, *f32, rows)
 	if err != nil {
 		fmt.Fprintln(stderr, "tkmc-serve:", err)
 		return exitUsage
@@ -162,7 +164,7 @@ func realMain(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int
 	for i := 0; i < *fleetN; i++ {
 		nodeBE := be
 		if i > 0 {
-			if nodeBE, err = buildBackend(*potName, tb, opts, *f32); err != nil {
+			if nodeBE, err = buildBackend(*potName, tb, opts, *f32, rows); err != nil {
 				fmt.Fprintln(stderr, "tkmc-serve:", err)
 				return exitUsage
 			}
@@ -231,8 +233,8 @@ func fleetAddr(addr string, i int) (string, error) {
 
 // buildBackend maps the -potential flag to an evaluation backend over
 // the given tables. Any name that is not a built-in potential is loaded
-// as a trained NNP file.
-func buildBackend(name string, tb *encoding.Tables, opts evalserve.Options, f32 bool) (evalserve.Backend, error) {
+// as a trained NNP file, whose backend counts its rows into rows.
+func buildBackend(name string, tb *encoding.Tables, opts evalserve.Options, f32 bool, rows *nnp.RowStats) (evalserve.Backend, error) {
 	switch name {
 	case "eam":
 		params := eam.Default()
@@ -265,6 +267,8 @@ func buildBackend(name string, tb *encoding.Tables, opts evalserve.Options, f32 
 		if f32 {
 			prec = evalserve.F32
 		}
-		return evalserve.NewFusionBackend(pot, tb, prec), nil
+		fb := evalserve.NewFusionBackend(pot, tb, prec)
+		fb.SetRowStats(rows)
+		return fb, nil
 	}
 }

@@ -219,6 +219,7 @@ type Simulation struct {
 	mkMod   func() kmc.Model       // per-rank factory for the parallel path
 	evalSrv *evalserve.Server      // shared evaluation service (nil unless EvalCache > 0)
 	fleet   *evalserve.FleetClient // remote evaluation fleet (nil unless EvalFleet set)
+	nnpRows *nnp.RowStats          // NNP row counters (nil unless NNP with telemetry)
 	time    float64                // parallel-path clock
 	hops    int64                  // parallel-path hop counter
 	segment uint64                 // parallel-path run counter (fresh seeds per segment)
@@ -304,7 +305,12 @@ func New(cfg Config) (*Simulation, error) {
 		pot := eam.New(eam.Default())
 		s.mkMod = func() kmc.Model { return eam.NewFastRegionEvaluator(pot, s.Tables) }
 	case NNP:
-		s.mkMod = func() kmc.Model { return nnp.NewLatticeEvaluator(cfg.Net, s.Tables) }
+		s.nnpRows = nnp.NewRowStats(cfg.Telemetry.Reg())
+		s.mkMod = func() kmc.Model {
+			ev := nnp.NewLatticeEvaluator(cfg.Net, s.Tables)
+			ev.SetRowStats(s.nnpRows)
+			return ev
+		}
 	case BondCount:
 		params := bondcount.FeCu()
 		s.mkMod = func() kmc.Model { return bondcount.NewEvaluator(params, s.Tables) }
@@ -348,7 +354,9 @@ func New(cfg Config) (*Simulation, error) {
 			if cfg.EvalF32 {
 				prec = evalserve.F32
 			}
-			be = evalserve.NewFusionBackend(cfg.Net, s.Tables, prec)
+			fb := evalserve.NewFusionBackend(cfg.Net, s.Tables, prec)
+			fb.SetRowStats(s.nnpRows)
+			be = fb
 		} else {
 			// Non-NNP potentials — and any fleet run, where the remote
 			// nodes do the heavy lifting and the local cache just
@@ -484,6 +492,13 @@ func (s *Simulation) EvalStats() (st evalserve.Stats, ok bool) {
 		return evalserve.Stats{}, false
 	}
 	return s.evalSrv.Stats(), true
+}
+
+// NNPRows returns the NNP row counters (see nnp.RowStats); ok reports
+// whether they are kept (an NNP run with telemetry on).
+func (s *Simulation) NNPRows() (forward, reuse, memo int64, ok bool) {
+	forward, reuse, memo = s.nnpRows.Counts()
+	return forward, reuse, memo, s.nnpRows != nil
 }
 
 // Close releases background resources — the evaluation service's

@@ -8,7 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"tensorkmc/internal/feature"
+	"tensorkmc/internal/nnp"
+	"tensorkmc/internal/rng"
 	"tensorkmc/internal/telemetry"
+	"tensorkmc/internal/units"
 )
 
 // telemetryTestConfig is a small, fast serial configuration with the
@@ -192,5 +196,60 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 		if !strings.Contains(sb.String(), "# TYPE "+fam+" ") {
 			t.Errorf("family %s missing from /metrics exposition", fam)
 		}
+	}
+}
+
+// TestNNPRowMetrics: an NNP run with telemetry exposes the
+// tkmc_nnp_rows_total{source} counters on the registry, agreeing with
+// NNPRows, on the direct and the cached path; without telemetry NNPRows
+// reports nothing kept.
+func TestNNPRowMetrics(t *testing.T) {
+	desc := feature.Standard(units.CutoffStandard)
+	pot := nnp.NewPotential(desc, []int{desc.Dim(), 8, 1}, rng.New(61))
+	for _, cache := range []int{0, 1 << 10} {
+		set := telemetry.NewSet()
+		cfg := Config{
+			Cells: [3]int{8, 8, 8}, CuFraction: 0.02, VacancyFraction: 0.002,
+			Seed: 62, Potential: NNP, Net: pot, EvalCache: cache, Telemetry: set,
+		}
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(2e-8, nil); err != nil {
+			t.Fatal(err)
+		}
+		sim.Close()
+		fwd, reuse, memo, ok := sim.NNPRows()
+		if !ok || fwd == 0 || reuse == 0 {
+			t.Fatalf("cache %d: NNPRows = %d, %d, %d, %v; want forward and reuse rows counted", cache, fwd, reuse, memo, ok)
+		}
+		want := map[string]float64{`{source="forward"}`: float64(fwd), `{source="reuse"}`: float64(reuse), `{source="memo"}`: float64(memo)}
+		got := map[string]float64{}
+		snap := set.Reg().Snapshot()
+		for _, f := range snap.Families {
+			if f.Name == telemetry.MetricNNPRows {
+				for _, s := range f.Series {
+					got[s.Labels] = s.Value
+				}
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cache %d: %s series %v, want %v", cache, telemetry.MetricNNPRows, got, want)
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("cache %d: %s%s = %v, NNPRows says %v", cache, telemetry.MetricNNPRows, k, got[k], v)
+			}
+		}
+	}
+	cfg := Config{Cells: [3]int{8, 8, 8}, VacancyFraction: 0.002, Seed: 63, Potential: NNP, Net: pot}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if _, _, _, ok := sim.NNPRows(); ok {
+		t.Fatal("NNPRows kept without telemetry")
 	}
 }

@@ -26,6 +26,7 @@ package encoding
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tensorkmc/internal/lattice"
@@ -74,6 +75,13 @@ type Tables struct {
 	// the ghost width needed by the parallel decomposition.
 	NN1Index  [8]int32
 	MaxExtent int
+
+	// HopAffected[k] lists the region sites j ∉ {0, NN1Index[k]} whose
+	// neighbour tally a swap of sites 0 and NN1Index[k] can change: NET
+	// row j holds exactly one of the two sites, or both at different
+	// distance indices. Every other region site keeps its features under
+	// hop k (142 of 253 sites are listed per direction at 6.5 Å).
+	HopAffected [8][]int16
 
 	index map[lattice.Vec]int32
 }
@@ -168,6 +176,32 @@ func New(a, rcut float64) *Tables {
 			}
 			t.NET = append(t.NET, Neighbor{ID: id, DistIndex: distIdx[off.Norm2()]})
 		}
+	}
+	if t.NRegion > math.MaxInt16 {
+		panic(fmt.Sprintf("encoding: %d region sites overflow the int16 hop lists", t.NRegion))
+	}
+	// swapped[id] is 1 for the origin and k+2 for hop target k; one
+	// pass over each NET row finds the row's distance to all nine.
+	swapped := make([]int8, t.NRegion)
+	swapped[0] = 1
+	for k, nn := range t.NN1Index {
+		swapped[nn] = int8(k + 2)
+	}
+	for j := 1; j < t.NRegion; j++ {
+		dist := [9]int{-1, -1, -1, -1, -1, -1, -1, -1, -1}
+		for _, nb := range t.Neighbors(j) {
+			if nb.ID < int32(t.NRegion) && swapped[nb.ID] != 0 {
+				dist[swapped[nb.ID]-1] = int(nb.DistIndex)
+			}
+		}
+		for k, nn := range t.NN1Index {
+			if j != int(nn) && dist[0] != dist[k+1] {
+				t.HopAffected[k] = append(t.HopAffected[k], int16(j))
+			}
+		}
+	}
+	for k, list := range t.HopAffected {
+		t.HopAffected[k] = slices.Clone(list) // drop append's spare capacity
 	}
 	return t
 }

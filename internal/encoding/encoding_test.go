@@ -276,3 +276,61 @@ func TestTablesIndependentOfCallOrder(t *testing.T) {
 		}
 	}
 }
+
+// tally returns region site j's per-(species, distance index) neighbour
+// counts in vet.
+func tally(tb *Tables, vet VET, j int) map[[2]int]int {
+	cnt := map[[2]int]int{}
+	for _, nb := range tb.Neighbors(j) {
+		cnt[[2]int{int(vet[nb.ID]), int(nb.DistIndex)}]++
+	}
+	return cnt
+}
+
+// TestHopAffected pins the per-direction affected-site lists: 142 sites
+// per direction at 6.5 Å (84 − 2 at 5.8 Å), none of them the origin or
+// the hop target; on random VETs a hop changes the tally of no unlisted
+// site, and with a vacancy swapping against an atom it changes the tally
+// of every listed one.
+func TestHopAffected(t *testing.T) {
+	for _, c := range []struct {
+		rcut float64
+		want int
+	}{{units.CutoffStandard, 142}, {units.CutoffShort, 82}} {
+		tb := New(units.LatticeConstantFe, c.rcut)
+		r := rng.New(3)
+		for k, list := range tb.HopAffected {
+			if len(list) != c.want {
+				t.Fatalf("rcut %v direction %d: %d affected sites, want %d", c.rcut, k, len(list), c.want)
+			}
+			listed := map[int]bool{}
+			for _, j := range list {
+				if j == 0 || int32(j) == tb.NN1Index[k] {
+					t.Fatalf("rcut %v direction %d lists site %d", c.rcut, k, j)
+				}
+				listed[int(j)] = true
+			}
+			vet := tb.NewVET()
+			for i := range vet {
+				vet[i] = lattice.Species(r.Intn(3))
+			}
+			vet[0], vet[tb.NN1Index[k]] = lattice.Vacancy, lattice.Cu
+			for j := 1; j < tb.NRegion; j++ {
+				if int32(j) == tb.NN1Index[k] {
+					continue
+				}
+				before := tally(tb, vet, j)
+				tb.ApplyHop(vet, k)
+				after := tally(tb, vet, j)
+				tb.ApplyHop(vet, k)
+				changed := len(before) != len(after)
+				for key, n := range before {
+					changed = changed || after[key] != n
+				}
+				if changed != listed[j] {
+					t.Fatalf("rcut %v direction %d site %d: tally changed %v, listed %v", c.rcut, k, j, changed, listed[j])
+				}
+			}
+		}
+	}
+}

@@ -102,17 +102,29 @@ const (
 // a private nnp.Scratch. Systems are independent, so the results do not
 // depend on the worker count or the schedule. The batch width buys
 // parallelism, not a wider GEMM: the inference kernel costs the same per
-// system at any width.
+// system at any width. Idle scratches, with their warm per-site memos,
+// stay on a free list across batches, at most one per worker.
 //
 // Concurrency: EvaluateBatch is safe for concurrent callers (the server
-// runs a bounded worker pool); each call builds private working state.
-// SetWorkers must be called before the backend is shared.
+// runs a bounded worker pool). SetWorkers and SetRowStats must be called
+// before the backend is shared.
 type FusionBackend struct {
 	pot     *nnp.Potential
 	tb      *encoding.Tables
 	tab     *feature.Table
 	q       *nnp.Potential32 // quantised heads, F32 only
 	workers int              // per-batch worker count; 0 = GOMAXPROCS
+	rows    *nnp.RowStats
+
+	mu   sync.Mutex
+	free []*fbWorker // idle worker state kept across batches
+}
+
+// fbWorker is one batch worker's private state: its scratch and the VET
+// copy it evaluates in place.
+type fbWorker struct {
+	s   *nnp.Scratch
+	vet encoding.VET
 }
 
 // NewFusionBackend binds a trained potential to tables in the given
@@ -132,8 +144,41 @@ func NewFusionBackend(pot *nnp.Potential, tb *encoding.Tables, prec Precision) *
 // across server workers.
 func (fb *FusionBackend) SetWorkers(n int) { fb.workers = n }
 
+// SetRowStats makes every worker count its rows into r (nil: count
+// nothing). Call before the backend is shared.
+func (fb *FusionBackend) SetRowStats(r *nnp.RowStats) { fb.rows = r }
+
 // Tables returns the encoding tables.
 func (fb *FusionBackend) Tables() *encoding.Tables { return fb.tb }
+
+// getWorker takes an idle worker state off the free list, or builds one.
+func (fb *FusionBackend) getWorker() *fbWorker {
+	fb.mu.Lock()
+	if n := len(fb.free); n > 0 {
+		w := fb.free[n-1]
+		fb.free = fb.free[:n-1]
+		fb.mu.Unlock()
+		return w
+	}
+	fb.mu.Unlock()
+	w := &fbWorker{vet: fb.tb.NewVET()}
+	if fb.q != nil {
+		w.s = fb.pot.NewScratch32(fb.tb, fb.q)
+	} else {
+		w.s = fb.pot.NewScratch(fb.tb)
+	}
+	w.s.Rows = fb.rows
+	return w
+}
+
+// putWorker returns w to the free list unless it already holds limit.
+func (fb *FusionBackend) putWorker(w *fbWorker, limit int) {
+	fb.mu.Lock()
+	if len(fb.free) < limit {
+		fb.free = append(fb.free, w)
+	}
+	fb.mu.Unlock()
+}
 
 // EvaluateBatch runs the 1+8 evaluation of every system.
 func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
@@ -143,28 +188,23 @@ func (fb *FusionBackend) EvaluateBatch(vets []encoding.VET) []Result {
 		}
 	}
 	out := make([]Result, len(vets))
-	workers := fb.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	limit := fb.workers
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(vets))
+	workers := min(limit, len(vets))
 	var next atomic.Int64
 	work := func() {
-		var s *nnp.Scratch
-		if fb.q != nil {
-			s = fb.pot.NewScratch32(fb.tb, fb.q)
-		} else {
-			s = fb.pot.NewScratch(fb.tb)
-		}
+		w := fb.getWorker()
 		// HopEnergies mutates the VET in place (and reverts it); the
 		// caller's buffer may be shared with a blocked engine goroutine,
 		// so each system runs on a private copy.
-		vet := fb.tb.NewVET()
 		for i := int(next.Add(1)) - 1; i < len(vets); i = int(next.Add(1)) - 1 {
-			copy(vet, vets[i])
+			copy(w.vet, vets[i])
 			r := &out[i]
-			r.Initial, r.Final, r.Valid = fb.pot.HopEnergies(fb.tb, fb.tab, vet, s)
+			r.Initial, r.Final, r.Valid = fb.pot.HopEnergies(fb.tb, fb.tab, w.vet, w.s)
 		}
+		fb.putWorker(w, limit)
 	}
 	if workers <= 1 {
 		work()

@@ -327,3 +327,33 @@ func TestFusionBackendDivacancy(t *testing.T) {
 		}
 	}
 }
+
+// TestFusionBackendReusesScratch: worker scratches, with their warm
+// per-site memos, survive across batches on the free list, so a warm
+// batch allocates only its result slice and the goroutine bookkeeping
+// (8 allocations at 2 workers) — not the ~14 of each fresh worker
+// state — in either precision, and its results stay those of a fresh
+// backend.
+func TestFusionBackendReusesScratch(t *testing.T) {
+	pot, tb := smallPotential(9)
+	vets := sampleVETs(t, tb, 6, 10)
+	for _, prec := range []Precision{F64, F32} {
+		fb := NewFusionBackend(pot, tb, prec)
+		fb.SetWorkers(2)
+		want := NewFusionBackend(pot, tb, prec).EvaluateBatch(vets)
+		fb.EvaluateBatch(vets)
+		allocs := testing.AllocsPerRun(5, func() {
+			for i, r := range fb.EvaluateBatch(vets) {
+				if r != want[i] {
+					t.Fatalf("precision %d system %d: warm batch %+v, fresh backend %+v", prec, i, r, want[i])
+				}
+			}
+		})
+		if allocs > 12 {
+			t.Fatalf("precision %d: warm batch made %.0f allocations; scratches are not reused", prec, allocs)
+		}
+		if len(fb.free) > 2 {
+			t.Fatalf("free list holds %d scratches for 2 workers", len(fb.free))
+		}
+	}
+}

@@ -133,91 +133,80 @@ func (t *Table) MemoryBytes() int { return 8 * len(t.vals) }
 //
 // Evaluation order (part of the determinism contract): neighbours are
 // first tallied into per-(element, distance-shell) occupancy counts, then
-// each occupied shell contributes count·TABLE[shell] to its element's
-// channel block, shells ascending — the weighted-TABLE form of Eq. (6).
-// The order is fixed, so every caller (NNP region energy, CPE feature
-// operator) produces bit-identical rows for the same VET.
-// Grouping by shell costs O(occupied shells) table passes per site
-// instead of O(neighbours) — on the bcc lattice roughly a 5× reduction.
+// FromTally turns the tally into the feature vector. The order is fixed,
+// so every caller (NNP region energy, CPE feature operator) produces
+// bit-identical rows for the same VET, and the feature vector is a pure
+// function of the site's tally — which is what lets the NNP memoise
+// per-site outputs by tally.
 func ComputeSite(tb *encoding.Tables, tab *Table, vet encoding.VET, i int, out []float64) {
-	d := tab.desc
-	nd := d.NDim()
-	if d.NEl <= maxSiteElems && tab.nDist <= maxSiteShells && len(out) <= len(computeSiteBuf{}) {
-		var cnt [maxSiteElems * maxSiteShells]uint16
-		nDist := tab.nDist
-		for _, nb := range tb.Neighbors(i) {
-			s := vet[nb.ID]
-			if !s.IsAtom() {
-				continue
-			}
-			cnt[int(s)*nDist+int(nb.DistIndex)]++
-		}
-		var buf computeSiteBuf
-		b := buf[:len(out)]
-		for s := 0; s < d.NEl; s++ {
-			dst := b[s*nd : s*nd+nd]
-			for dist := 0; dist < nDist; dist++ {
-				c := cnt[s*nDist+dist]
-				if c == 0 {
-					continue
-				}
-				f := float64(c)
-				row := tab.vals[dist*nd : (dist+1)*nd]
-				x := dst[:len(row)]
-				j := 0
-				for ; j+4 <= len(row); j += 4 {
-					x[j] += f * row[j]
-					x[j+1] += f * row[j+1]
-					x[j+2] += f * row[j+2]
-					x[j+3] += f * row[j+3]
-				}
-				for ; j < len(row); j++ {
-					x[j] += f * row[j]
-				}
-			}
-		}
-		copy(out, b)
-		return
+	var buf [maxSiteTally]uint16
+	var cnt []uint16
+	if n := tab.TallyLen(); n <= len(buf) {
+		cnt = buf[:n]
+	} else {
+		cnt = make([]uint16, n)
 	}
-	// General fallback (oversize descriptors): same shell-grouped order,
-	// heap-allocated tallies.
-	cnt := make([]uint16, d.NEl*tab.nDist)
+	tab.Tally(tb, vet, i, cnt)
+	tab.FromTally(cnt, out)
+}
+
+// Tally overwrites cnt (length TallyLen) with region site i's atom
+// neighbours in vet, counted by (element, distance shell).
+func (t *Table) Tally(tb *encoding.Tables, vet encoding.VET, i int, cnt []uint16) {
+	clear(cnt)
 	for _, nb := range tb.Neighbors(i) {
-		s := vet[nb.ID]
-		if !s.IsAtom() {
-			continue
+		if s := vet[nb.ID]; s.IsAtom() {
+			cnt[int(s)*t.nDist+int(nb.DistIndex)]++
 		}
-		cnt[int(s)*tab.nDist+int(nb.DistIndex)]++
 	}
+}
+
+// TallyLen is the length of a site tally: one count per (element,
+// distance shell), element-major — cnt[s*nDist+d] atoms of element s
+// at distance index d. It covers every atom species even when the
+// descriptor describes fewer elements.
+func (t *Table) TallyLen() int { return max(t.desc.NEl, lattice.NumElements) * t.nDist }
+
+// FromTally writes the feature vector of a site with the given tally
+// (see TallyLen) into out (length Dim), fully overwriting it: each
+// occupied shell contributes count·TABLE[shell] to its element's channel
+// block, shells ascending — the weighted-TABLE form of Eq. (6). Grouping
+// by shell costs O(occupied shells) table passes per site instead of
+// O(neighbours), on the bcc lattice roughly a 5× reduction.
+func (t *Table) FromTally(cnt []uint16, out []float64) {
+	d := t.desc
+	nd := d.NDim()
+	nDist := t.nDist
 	for k := range out {
 		out[k] = 0
 	}
 	for s := 0; s < d.NEl; s++ {
 		dst := out[s*nd : s*nd+nd]
-		for dist := 0; dist < tab.nDist; dist++ {
-			c := cnt[s*tab.nDist+dist]
+		for dist := 0; dist < nDist; dist++ {
+			c := cnt[s*nDist+dist]
 			if c == 0 {
 				continue
 			}
 			f := float64(c)
-			row := tab.Row(dist)
-			for j, v := range row {
-				dst[j] += f * v
+			row := t.vals[dist*nd : (dist+1)*nd]
+			x := dst[:len(row)]
+			j := 0
+			for ; j+4 <= len(row); j += 4 {
+				x[j] += f * row[j]
+				x[j+1] += f * row[j+1]
+				x[j+2] += f * row[j+2]
+				x[j+3] += f * row[j+3]
+			}
+			for ; j < len(row); j++ {
+				x[j] += f * row[j]
 			}
 		}
 	}
 }
 
-// computeSiteBuf is the on-stack accumulator of ComputeSite's fast path;
-// it covers the production descriptor (64 channels) with headroom.
-type computeSiteBuf [128]float64
-
-// Fast-path tally bounds: the production encoding has 2 elements and a
-// few tens of distance shells.
-const (
-	maxSiteElems  = 4
-	maxSiteShells = 64
-)
+// maxSiteTally bounds ComputeSite's on-stack tally; larger tables (more
+// elements or shells) tally on the heap.
+const maxSiteTally = 256
 
 // ComputeRegion evaluates features for every region site of a vacancy
 // system. out must have length NRegion × Dim; it is fully overwritten.

@@ -58,6 +58,7 @@ const (
 	MetricEvalSpecDropped  = "tkmc_eval_spec_dropped_total"
 	MetricEvalSpecBatched  = "tkmc_eval_spec_batched_total"
 	MetricEvalSpecWarmHits = "tkmc_eval_spec_warm_hits_total"
+	MetricNNPRows          = "tkmc_nnp_rows_total"
 	MetricFleetRetries     = "tkmc_fleet_retries_total"
 	MetricFleetFailovers   = "tkmc_fleet_failovers_total"
 	MetricFleetFallbacks   = "tkmc_fleet_fallbacks_total"
